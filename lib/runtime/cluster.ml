@@ -8,6 +8,11 @@ type 'msg node = {
   mutable instance : 'msg Protocol.instance;
   mutable alive : bool;  (** the node loop exits when this goes false *)
   mutable thread : Thread.t option;
+  lock : Mutex.t;
+      (** inline mode: held while the node's [start] or a handler runs;
+          {!stop_node} takes it, so no handler of a dead incarnation runs
+          after it returns *)
+  mutable pending_start : bool;  (** inline mode: [start] not yet run *)
   mutable gen : int;
       (** incarnation counter: bumped on every stop, captured by pending
           timers so a killed incarnation's timers become tombstones instead
@@ -24,13 +29,26 @@ type 'msg t = {
   lifecycle_mutex : Mutex.t;  (** serializes start/stop/shutdown transitions *)
   reactor : Reactor.t;  (** drives protocol timers and await deadlines *)
   owns_reactor : bool;
+  mutable drain : Reactor.turn option;
+      (** inline mode (a borrowed reactor): the per-turn hook draining every
+          endpoint on the loop thread, instead of one thread per node *)
   mutable running : bool;
   mutable started : bool;
   mutable epoch : float;
 }
 
 let create ~transport ~n ?(extra = []) ?reactor make_instance =
-  let node pid instance = { pid; instance; alive = false; thread = None; gen = 0 } in
+  let node pid instance =
+    {
+      pid;
+      instance;
+      alive = false;
+      thread = None;
+      gen = 0;
+      lock = Mutex.create ();
+      pending_start = false;
+    }
+  in
   let nodes =
     List.map (fun p -> node p (make_instance p)) (Pid.all ~n)
     @ List.map (fun (pid, instance) -> node pid instance) extra
@@ -50,6 +68,7 @@ let create ~transport ~n ?(extra = []) ?reactor make_instance =
     lifecycle_mutex = Mutex.create ();
     reactor;
     owns_reactor;
+    drain = None;
     running = false;
     started = false;
     epoch = 0.0;
@@ -110,15 +129,86 @@ let node_loop t node () =
         (instance.Protocol.on_message ~now ~from msg)
   done
 
+(* Inline mode: one turn of the loop drains every endpoint with
+   non-blocking [recv]s, each node under its lock. A node's endpoint is
+   drained until empty, so each handler's [recv]-to-[recv] interval holds
+   that handler alone (what a wrapping transport may time). A dead node's
+   endpoint is drained too: traffic that arrives while it is down is
+   dropped, as a crashed process would lose it. *)
+let drain_node t handler node =
+  Mutex.lock node.lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock node.lock)
+    (fun () ->
+      let recv () = t.transport.Transport.recv ~me:node.pid ~timeout:0.0 in
+      let handled = ref false in
+      if node.alive && t.running then begin
+        let instance = node.instance in
+        if node.pending_start then begin
+          node.pending_start <- false;
+          handled := true;
+          Effects.execute handler ~self:node.pid ~depth:0 (instance.Protocol.start ())
+        end;
+        let rec go () =
+          if node.alive && t.running then
+            match recv () with
+            | None -> ()
+            | Some (from, msg) ->
+              handled := true;
+              let now = Unix.gettimeofday () -. t.epoch in
+              Effects.execute handler ~self:node.pid ~depth:0
+                (instance.Protocol.on_message ~now ~from msg);
+              go ()
+        in
+        go ()
+      end
+      else
+        while recv () <> None do
+          ()
+        done;
+      !handled)
+
+(* Handlers may deliver to nodes drained earlier in the pass (an in-memory
+   transport pushes straight to the endpoint), so passes repeat while they
+   find work; past a few, the rest is left to the next turn, posted so the
+   loop polls instead of sleeping. *)
+let max_passes = 4
+
+let drain t handler () =
+  let pass () =
+    List.fold_left
+      (fun busy node ->
+        match drain_node t handler node with
+        | handled -> handled || busy
+        | exception exn ->
+          Printf.eprintf "[cluster] node %d raised: %s\n%!" node.pid (Printexc.to_string exn);
+          busy)
+      false t.nodes
+  in
+  let rec go k = if pass () then if k < max_passes then go (k + 1) else Reactor.post t.reactor ignore in
+  go 1
+
+let inline t = not t.owns_reactor
+
 let spawn_node t node =
-  node.alive <- true;
-  node.thread <- Some (Thread.create (node_loop t node) ())
+  if inline t then begin
+    Mutex.lock node.lock;
+    node.pending_start <- true;
+    node.alive <- true;
+    Mutex.unlock node.lock;
+    Reactor.wake t.reactor
+  end
+  else begin
+    node.alive <- true;
+    node.thread <- Some (Thread.create (node_loop t node) ())
+  end
 
 let start t =
   if t.started then invalid_arg "Cluster.start: already started";
   t.started <- true;
   t.running <- true;
   t.epoch <- Unix.gettimeofday ();
+  if inline t then t.drain <- Some (Reactor.on_turn t.reactor (drain t (handler t)));
   List.iter (fun node -> spawn_node t node) t.nodes
 
 let find_node t pid =
@@ -137,8 +227,12 @@ let stop_node t pid =
         (* Tombstone every timer the dying incarnation armed: the shared
            reactor keeps running, but their generation check now fails. *)
         node.gen <- node.gen + 1;
+        (* Wait out a handler in flight: the thread's, or the loop's. *)
         Option.iter Thread.join node.thread;
-        node.thread <- None
+        node.thread <- None;
+        Mutex.lock node.lock;
+        node.pending_start <- false;
+        Mutex.unlock node.lock
       end)
 
 let start_node t pid instance =
@@ -214,12 +308,16 @@ let shutdown t =
     (fun () ->
       if t.running then begin
         t.running <- false;
+        Option.iter (Reactor.remove_turn t.reactor) t.drain;
+        t.drain <- None;
         t.transport.Transport.close ();
         List.iter
           (fun node ->
             Option.iter Thread.join node.thread;
             node.thread <- None;
-            node.alive <- false)
+            node.alive <- false;
+            Mutex.lock node.lock;
+            Mutex.unlock node.lock)
           t.nodes;
         if t.owns_reactor then Reactor.stop t.reactor;
         (* Wake waiters in [await]: no further decision can arrive. *)

@@ -3,12 +3,11 @@
 
 type 'a t
 
-val create : ?watcher:bool -> unit -> 'a t
-(** [watcher] (default [true]) selects how blocked {!pop} deadlines are
-    re-checked: with a lazily-spawned per-mailbox watcher thread (joined by
-    {!close}), or — when [false] — only when an external owner calls
-    {!tick}, letting one reactor timer sweep many mailboxes instead of one
-    thread each. *)
+val create : unit -> 'a t
+(** An empty mailbox. Blocked {!pop} deadlines are re-checked by a
+    per-mailbox watcher thread, spawned lazily by the first pop that can
+    block and joined by {!close}; a mailbox only ever polled costs no
+    thread. *)
 
 val push : 'a t -> 'a -> unit
 (** Never blocks (unbounded queue). Pushing to a closed mailbox is a no-op:
@@ -17,11 +16,11 @@ val push : 'a t -> 'a -> unit
 val pop : timeout:float -> 'a t -> 'a option
 (** Block up to [timeout] seconds for an element. [None] on timeout or when
     the mailbox is closed and drained. Deadline precision is one tick
-    (5 ms) — arrival latency is sharp, timeout latency is coarse. *)
+    (5 ms) — arrival latency is sharp, timeout latency is coarse.
 
-val tick : 'a t -> unit
-(** Wake blocked poppers so they re-check their deadlines — the external
-    analogue of the watcher thread's tick; a no-op when nobody waits. *)
+    With [timeout <= 0.0] this is a poll: it takes the head under the lock
+    and returns, reading no clock and waking nobody — the per-turn drain of
+    an event loop calls it once per endpoint on every turn. *)
 
 val close : 'a t -> unit
 (** Wake all blocked readers and join the watcher thread (if any);

@@ -28,6 +28,12 @@ type t = {
   timers : timer_entry Pqueue.t;
   cancelled : (int, unit) Hashtbl.t;
   posted : (unit -> unit) Queue.t;
+  mutable hooks : (int * (unit -> unit)) list;  (** per-turn hooks, registration order *)
+  (* The [select] interest lists, rebuilt from [fds] only after a
+     registration changed. *)
+  mutable reads : Unix.file_descr list;
+  mutable writes : Unix.file_descr list;
+  mutable interest_stale : bool;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   name : string;
@@ -35,20 +41,28 @@ type t = {
   mutable next_id : int;  (** timer ids and heap tie-break sequence *)
   mutable thread : Thread.t option;
   mutable thread_id : int;
+  mutable end_of_turn : (unit -> unit) list;
+      (** connection flushes queued by {!Conn.pump_soon} on the loop thread,
+          newest first; run once at the end of the turn *)
   (* Reusable I/O scratch, touched only by the loop thread. *)
+  drain_buf : Bytes.t;
   rbuf : Bytes.t;
   wbuf : Bytes.t;
   m_loops : Dex_metrics.Registry.counter option;
   m_errors : Dex_metrics.Registry.counter option;
 }
 
+(* The byte written to the wake pipe; only ever read from, so one copy
+   serves every caller. *)
+let wake_byte = Bytes.make 1 '\000'
+
 let wake t =
   (* The loop thread never needs waking: it is not asleep in [select] while
-     it runs this, and every iteration rebuilds interest lists and re-checks
-     timers and posted work from scratch. *)
+     it runs this, and every iteration re-checks interest, timers, posted
+     work and hooks before it sleeps. *)
   if Thread.id (Thread.self ()) <> t.thread_id then
     (* Nonblocking pipe: a full pipe already guarantees a pending wake-up. *)
-    try ignore (Unix.write t.pipe_w (Bytes.make 1 '\000') 0 1)
+    try ignore (Unix.write t.pipe_w wake_byte 0 1)
     with Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
 let report_error t context exn =
@@ -57,28 +71,51 @@ let report_error t context exn =
 
 let guarded t context f = try f () with exn -> report_error t context exn
 
+(* Periodic deadlines sit on the multiples of the period, so periodic timers
+   of one period share a turn instead of waking the loop once each. *)
+let next_multiple period now = (Float.floor (now /. period) +. 1.0) *. period
+
+(* Timer slack: the loop sleeps until a multiple of [slack], so the timers
+   due within one step (on a deployment's mesh loop, mostly fault-plan
+   delays of single messages) fire in one turn instead of one turn each.
+   A timer never fires early, and at most [slack] late. *)
+let slack = 0.0002
+
+let on_grid deadline = Float.ceil (deadline /. slack) *. slack
+
+(* Called under the lock. *)
+let refresh_interest t =
+  if t.interest_stale then begin
+    let reads = ref [ t.pipe_r ] and writes = ref [] in
+    Hashtbl.iter
+      (fun fd h ->
+        if h.read_cb <> None then reads := fd :: !reads;
+        if h.write_cb <> None then writes := fd :: !writes)
+      t.fds;
+    t.reads <- !reads;
+    t.writes <- !writes;
+    t.interest_stale <- false
+  end
+
 (* One loop iteration: sleep in [select] until I/O, a timer deadline or a
-   wake-up; then dispatch ready descriptors, run posted closures and fire due
-   timers — all outside the lock, re-checking registration per callback so a
-   handler removed during dispatch never fires afterwards. *)
+   wake-up; then dispatch ready descriptors, run posted closures, fire due
+   timers and run the per-turn hooks — all outside the lock, re-checking
+   registration per callback so a handler removed during dispatch never
+   fires afterwards. *)
 let iteration t =
   Mutex.lock t.mutex;
   let now = Unix.gettimeofday () in
   let timeout =
     match Pqueue.peek t.timers with
     | None -> 0.5
-    | Some (deadline, _, _) -> Float.max 0.0 (Float.min 0.5 (deadline -. now))
+    | Some (deadline, _, _) -> Float.max 0.0 (Float.min 0.5 (on_grid deadline -. now))
   in
   let timeout = if Queue.is_empty t.posted then timeout else 0.0 in
-  let reads = ref [ t.pipe_r ] and writes = ref [] in
-  Hashtbl.iter
-    (fun fd h ->
-      if h.read_cb <> None then reads := fd :: !reads;
-      if h.write_cb <> None then writes := fd :: !writes)
-    t.fds;
+  refresh_interest t;
+  let reads = t.reads and writes = t.writes in
   Mutex.unlock t.mutex;
   let ready_r, ready_w =
-    match Unix.select !reads !writes [] timeout with
+    match Unix.select reads writes [] timeout with
     | r, w, _ -> (r, w)
     | exception Unix.Unix_error (EINTR, _, _) -> ([], [])
     | exception Unix.Unix_error (EBADF, _, _) ->
@@ -94,15 +131,16 @@ let iteration t =
           t.fds []
       in
       List.iter (Hashtbl.remove t.fds) bad;
+      t.interest_stale <- true;
       Mutex.unlock t.mutex;
       ([], [])
   in
   (* Drain the wake pipe. *)
   if List.memq t.pipe_r ready_r then begin
-    let scratch = Bytes.create 64 in
+    let scratch = t.drain_buf in
     let rec drain () =
-      match Unix.read t.pipe_r scratch 0 64 with
-      | 64 -> drain ()
+      match Unix.read t.pipe_r scratch 0 (Bytes.length scratch) with
+      | n when n = Bytes.length scratch -> drain ()
       | _ -> ()
       | exception Unix.Unix_error _ -> ()
     in
@@ -123,10 +161,13 @@ let iteration t =
   dispatch ready_w (fun h -> h.write_cb);
   (* Posted closures. *)
   Mutex.lock t.mutex;
-  let jobs = Queue.create () in
-  Queue.transfer t.posted jobs;
-  Mutex.unlock t.mutex;
-  Queue.iter (fun f -> guarded t "posted" f) jobs;
+  if not (Queue.is_empty t.posted) then begin
+    let jobs = Queue.create () in
+    Queue.transfer t.posted jobs;
+    Mutex.unlock t.mutex;
+    Queue.iter (fun f -> guarded t "posted" f) jobs
+  end
+  else Mutex.unlock t.mutex;
   (* Due timers: pop everything due now, run in deadline order, reschedule
      periodics. Cancellation tombstones are consumed as entries pop. *)
   let now = Unix.gettimeofday () in
@@ -157,10 +198,20 @@ let iteration t =
         else begin
           let seq = t.next_id in
           t.next_id <- t.next_id + 1;
-          Pqueue.push t.timers ~time:(Unix.gettimeofday () +. p) ~seq e
+          Pqueue.push t.timers ~time:(next_multiple p (Unix.gettimeofday ())) ~seq e
         end;
         Mutex.unlock t.mutex)
     (List.rev !due);
+  (* Per-turn hooks, last: they see everything this turn's I/O and timers
+     delivered. *)
+  List.iter (fun (_, f) -> guarded t "turn hook" f) t.hooks;
+  (* Coalesced writes: one flush per connection for everything the turn's
+     callbacks and hooks pushed to it. *)
+  if t.end_of_turn <> [] then begin
+    let flushes = t.end_of_turn in
+    t.end_of_turn <- [];
+    List.iter (fun f -> guarded t "flush" f) (List.rev flushes)
+  end;
   Option.iter Dex_metrics.Registry.incr t.m_loops
 
 let loop t () =
@@ -184,6 +235,10 @@ let create ?metrics ?(name = "reactor") () =
       timers = Pqueue.create ();
       cancelled = Hashtbl.create 8;
       posted = Queue.create ();
+      hooks = [];
+      reads = [];
+      writes = [];
+      interest_stale = true;
       pipe_r;
       pipe_w;
       name;
@@ -191,6 +246,8 @@ let create ?metrics ?(name = "reactor") () =
       next_id = 0;
       thread = None;
       thread_id = -1;
+      end_of_turn = [];
+      drain_buf = Bytes.create 64;
       rbuf = Bytes.create 65536;
       wbuf = Bytes.create 262144;
       m_loops = Option.map (fun r -> Dex_metrics.Registry.counter r "reactor/loops") metrics;
@@ -230,6 +287,7 @@ let on_interest t fd ~who set =
       h
   in
   set h;
+  t.interest_stale <- true;
   Mutex.unlock t.mutex;
   wake t
 
@@ -242,13 +300,15 @@ let clear_writable t fd =
   (match Hashtbl.find_opt t.fds fd with
   | Some h ->
     h.write_cb <- None;
-    if h.read_cb = None then Hashtbl.remove t.fds fd
+    if h.read_cb = None then Hashtbl.remove t.fds fd;
+    t.interest_stale <- true
   | None -> ());
   Mutex.unlock t.mutex
 
 let remove t fd =
   Mutex.lock t.mutex;
   Hashtbl.remove t.fds fd;
+  t.interest_stale <- true;
   Mutex.unlock t.mutex;
   wake t
 
@@ -258,18 +318,19 @@ let fd_count t =
   Mutex.unlock t.mutex;
   n
 
-let schedule t ~delay ~period fire =
+let schedule t ~at ~period fire =
   Mutex.lock t.mutex;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  Pqueue.push t.timers ~time:(Unix.gettimeofday () +. delay) ~seq:id { id; fire; period };
+  Pqueue.push t.timers ~time:at ~seq:id { id; fire; period };
   Mutex.unlock t.mutex;
   wake t;
   id
 
-let after t delay f = schedule t ~delay ~period:None f
+let after t delay f = schedule t ~at:(Unix.gettimeofday () +. delay) ~period:None f
 
-let every t period f = schedule t ~delay:period ~period:(Some period) f
+let every t period f =
+  schedule t ~at:(next_multiple period (Unix.gettimeofday ())) ~period:(Some period) f
 
 let cancel t id =
   Mutex.lock t.mutex;
@@ -288,6 +349,22 @@ let post t f =
   Mutex.unlock t.mutex;
   wake t
 
+type turn = int
+
+let on_turn t f =
+  Mutex.lock t.mutex;
+  let id = t.next_id in
+  t.next_id <- t.next_id + 1;
+  t.hooks <- t.hooks @ [ (id, f) ];
+  Mutex.unlock t.mutex;
+  wake t;
+  id
+
+let remove_turn t id =
+  Mutex.lock t.mutex;
+  t.hooks <- List.filter (fun (id', _) -> id' <> id) t.hooks;
+  Mutex.unlock t.mutex
+
 module Conn = struct
   type reactor = t
 
@@ -302,6 +379,8 @@ module Conn = struct
     mutable opened : bool;
     mutable armed : bool;
     mutable pbuf : Bytes.t;  (** lazily-allocated scratch for {!pump} *)
+    mutable flush_queued : bool;  (** a {!push} queued an end-of-turn flush *)
+    mutable flush_soon : unit -> unit;
     on_close : unit -> unit;
   }
 
@@ -461,6 +540,16 @@ module Conn = struct
     end;
     Mutex.unlock c.wmutex
 
+  (* On the loop thread, defer the write to the end of the turn so every
+     frame the turn sends on this connection leaves in one [write]. The
+     flag is only touched on the loop thread. *)
+  let pump_soon c =
+    if Thread.id (Thread.self ()) <> c.r.thread_id then pump c
+    else if not c.flush_queued then begin
+      c.flush_queued <- true;
+      c.r.end_of_turn <- c.flush_soon :: c.r.end_of_turn
+    end
+
   let attach r cfd ~on_bytes ~on_close =
     check_fd ~who:"Reactor.Conn.attach" cfd;
     Unix.set_nonblock cfd;
@@ -476,9 +565,15 @@ module Conn = struct
         opened = true;
         armed = false;
         pbuf = Bytes.create 0;
+        flush_queued = false;
+        flush_soon = ignore;
         on_close;
       }
     in
+    c.flush_soon <-
+      (fun () ->
+        c.flush_queued <- false;
+        pump c);
     let read_ready () =
       let rec drain () =
         if c.opened then

@@ -4,9 +4,11 @@
     One reactor owns one loop thread. File descriptors register interest in
     readability/writability; timers fire ordered by deadline from a binary
     heap; closures posted from other threads run on the loop thread at the
-    next iteration. All registration calls are thread-safe and wake the loop
-    through a self-pipe, so a sleeping [select] picks up new interest
-    immediately.
+    next iteration; per-turn hooks run at the end of every iteration. All
+    registration calls are thread-safe and wake the loop through a
+    self-pipe, so a sleeping [select] picks up new interest immediately.
+    The [select] interest lists are rebuilt only after a registration
+    changed, and the wake byte and pipe-drain buffer are allocated once.
 
     Callbacks run {e on the loop thread, outside the reactor lock}: they may
     freely register, deregister, schedule or cancel — including removing a
@@ -65,12 +67,15 @@ type timer
 
 val after : t -> float -> (unit -> unit) -> timer
 (** One-shot timer: run the closure on the loop thread [delay] seconds from
-    now. Timers with equal deadlines fire in scheduling order. *)
+    now — never earlier, and at most 0.2 ms later: the loop sleeps until a
+    multiple of 0.2 ms, so timers due within one step fire in one turn.
+    Timers with equal deadlines fire in scheduling order. *)
 
 val every : t -> float -> (unit -> unit) -> timer
-(** Periodic timer with fixed delay between the end of one firing and the
-    next deadline computation (period measured firing-to-firing, not
-    drift-corrected). *)
+(** Periodic timer firing at the multiples of the period on the wall clock
+    (the first within one period), so all periodic timers of one period on
+    a loop fire in the same turn instead of waking it once each. A firing
+    that runs late skips the multiples it missed. *)
 
 val cancel : t -> timer -> unit
 (** Cancel a timer; a periodic timer stops rescheduling. Cancelling a timer
@@ -82,6 +87,26 @@ val timer_count : t -> int
 val post : t -> (unit -> unit) -> unit
 (** Run a closure on the loop thread as soon as possible — the cross-thread
     entry point (equivalent to [after t 0.0] but cheaper). *)
+
+val wake : t -> unit
+(** Make a sleeping loop run one more turn (and so its {!on_turn} hooks)
+    now. A no-op on the loop thread, which re-checks everything before it
+    sleeps. Work that another thread queued for a hook must be followed by
+    a [wake], or it waits for the loop's next I/O or timer. *)
+
+(** {2 Per-turn hooks} *)
+
+type turn
+
+val on_turn : t -> (unit -> unit) -> turn
+(** Run the closure on the loop thread once per turn, after the turn's ready
+    descriptors, posted closures and due timers — so it sees everything they
+    delivered. Hooks run in registration order. A hook that leaves work for
+    the next turn should {!post} it, so the loop does not sleep on it. *)
+
+val remove_turn : t -> turn -> unit
+(** Deregister a hook. A turn already in progress on the loop thread may
+    still run it once. *)
 
 (** {2 Buffered connections}
 
@@ -134,6 +159,11 @@ module Conn : sig
       reactor wake-up off the latency path. Whatever the socket refuses is
       armed for the loop-side flush; a hard write error is also left for that
       flush to surface, so teardown never runs under a caller's locks. *)
+
+  val pump_soon : t -> unit
+  (** {!pump}, deferred on the loop thread to the end of the current turn:
+      everything the turn's callbacks and hooks {!buffer} on one connection
+      then leaves in one [write]. Off the loop thread it is {!pump}. *)
 
   val close : t -> unit
   (** Deregister and close the descriptor. Pending unwritten frames stay

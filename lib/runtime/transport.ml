@@ -138,89 +138,33 @@ module Links = struct
     List.sort compare s
 end
 
-(* A joined scheduler thread executing thunks at deadlines — the delayed
-   half of fault injection ({!with_faults}). Same shape as {!Mem}'s jitter
-   queue, but over closures so it can front any transport. *)
-module Delay_queue = struct
-  type t = {
-    mutex : Mutex.t;
-    cond : Condition.t;
-    q : (unit -> unit) Pqueue.t;
-    mutable seq : int;
-    mutable closed : bool;
-    mutable thread : Thread.t option;
-  }
-
-  let loop d () =
-    let rec go () =
-      Mutex.lock d.mutex;
-      while Pqueue.is_empty d.q && not d.closed do
-        Condition.wait d.cond d.mutex
-      done;
-      if d.closed then Mutex.unlock d.mutex
-      else begin
-        let now = Unix.gettimeofday () in
-        let rec due acc =
-          match Pqueue.peek d.q with
-          | Some (at, _, _) when at <= now -> (
-            match Pqueue.pop d.q with
-            | Some (_, _, f) -> due (f :: acc)
-            | None -> acc)
-          | _ -> acc
-        in
-        let ready = due [] in
-        let next = match Pqueue.peek d.q with Some (at, _, _) -> Some at | None -> None in
-        Mutex.unlock d.mutex;
-        List.iter (fun f -> f ()) (List.rev ready);
-        (match next with
-        | Some at ->
-          let nap = Float.min 0.001 (Float.max 0.0 (at -. Unix.gettimeofday ())) in
-          if nap > 0.0 then Thread.delay nap
-        | None -> ());
-        go ()
-      end
-    in
-    go ()
-
-  let create () =
-    let d =
-      {
-        mutex = Mutex.create ();
-        cond = Condition.create ();
-        q = Pqueue.create ();
-        seq = 0;
-        closed = false;
-        thread = None;
-      }
-    in
-    d.thread <- Some (Thread.create (loop d) ());
-    d
-
-  let push d ~delay f =
-    Mutex.lock d.mutex;
-    if not d.closed then begin
-      Pqueue.push d.q ~time:(Unix.gettimeofday () +. delay) ~seq:d.seq f;
-      d.seq <- d.seq + 1;
-      Condition.signal d.cond
-    end;
-    Mutex.unlock d.mutex
-
-  let close d =
-    Mutex.lock d.mutex;
-    d.closed <- true;
-    Condition.broadcast d.cond;
-    let th = d.thread in
-    d.thread <- None;
-    Mutex.unlock d.mutex;
-    Option.iter Thread.join th
-end
-
 (* Fault injection wraps the abstract transport, so every implementation —
    in-memory, threaded TCP, reactor TCP — faces the same adversarial
-   network. The plan decides per send; delayed copies are delivered by one
-   joined scheduler thread. *)
-let with_faults plan inner =
-  let dq = lazy (Delay_queue.create ()) in
+   network. The plan decides per send; a deferred copy is a timer on the
+   given loop (a deployment's mesh loop), else on a private loop that the
+   first deferral starts and [close] stops. The lock orders deliveries
+   against [close]: once [close] has taken it, no copy is delivered. *)
+let with_faults ?reactor plan inner =
+  let lock = Mutex.create () in
+  let closed = ref false in
+  let private_loop = ref None in
+  let loop () =
+    match reactor with
+    | Some r -> Some r
+    | None ->
+      Mutex.lock lock;
+      if Option.is_none !private_loop && not !closed then
+        private_loop := Some (Reactor.create ~name:"faults" ());
+      let r = !private_loop in
+      Mutex.unlock lock;
+      r
+  in
+  let deliver ~src ~dst msg () =
+    Mutex.lock lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock lock)
+      (fun () -> if not !closed then inner.send ~src ~dst msg)
+  in
   let send ~src ~dst msg =
     match Fault_plan.decide plan ~now:(Fault_plan.elapsed plan) ~src ~dst with
     | [] -> ()
@@ -228,11 +172,19 @@ let with_faults plan inner =
       List.iter
         (fun d ->
           if d <= 0.0 then inner.send ~src ~dst msg
-          else Delay_queue.push (Lazy.force dq) ~delay:d (fun () -> inner.send ~src ~dst msg))
+          else
+            match loop () with
+            | Some r -> ignore (Reactor.after r d (deliver ~src ~dst msg))
+            | None -> ())
         delays
   in
   let close () =
-    if Lazy.is_val dq then Delay_queue.close (Lazy.force dq);
+    Mutex.lock lock;
+    closed := true;
+    let own = !private_loop in
+    private_loop := None;
+    Mutex.unlock lock;
+    Option.iter Reactor.stop own;
     inner.close ()
   in
   { inner with send; close }
@@ -642,12 +594,7 @@ module Tcp_reactor = struct
     let reactor_for = match reactor_for with Some f -> f | None -> fun _ -> reactor in
     let frame_codec = Dex_codec.Codec.pair Dex_codec.Codec.int codec in
     let boxes = Hashtbl.create 16 in
-    List.iter (fun p -> Hashtbl.replace boxes p (Mailbox.create ~watcher:false ())) pids;
-    (* One periodic timer re-checks pop deadlines for every mailbox,
-       replacing one watcher thread per mailbox. *)
-    let tick_timer =
-      Reactor.every reactor 0.005 (fun () -> Hashtbl.iter (fun _ b -> Mailbox.tick b) boxes)
-    in
+    List.iter (fun p -> Hashtbl.replace boxes p (Mailbox.create ())) pids;
     let ports = Hashtbl.create 16 in
     List.iter (fun (pid, port) -> Hashtbl.replace ports pid port) remotes;
     let links = Links.create ?metrics () in
@@ -774,7 +721,9 @@ module Tcp_reactor = struct
         | None -> Links.record_drop links dst
         | Some port ->
           (* Pump outside [state_mutex]: the write syscall must not serialize
-             every sender in the process on the transport's one lock. *)
+             every sender in the process on the transport's one lock. On
+             the loop thread the pump waits for the end of the turn, so
+             the turn's frames to one peer leave in one write. *)
           let to_pump = ref None in
           Mutex.lock state_mutex;
           (if not !closed then begin
@@ -813,7 +762,7 @@ module Tcp_reactor = struct
                  schedule_retry ~src ~dst pending)
            end);
           Mutex.unlock state_mutex;
-          Option.iter Reactor.Conn.pump !to_pump
+          Option.iter Reactor.Conn.pump_soon !to_pump
     in
 
     (* Listeners: nonblocking accept driven by the reactor. Each accepted
@@ -825,12 +774,17 @@ module Tcp_reactor = struct
       let reader = Dex_codec.Codec.Frame.Reader.create frame_codec in
       let box = Hashtbl.find_opt boxes dst in
       let cell = ref None in
+      let loop = reactor_for dst in
       match
-        Reactor.Conn.attach (reactor_for dst) sock
+        Reactor.Conn.attach loop sock
           ~on_bytes:(fun bytes len ->
             let frames = Dex_codec.Codec.Frame.Reader.feed reader bytes len in
             match box with
-            | Some bx -> List.iter (Mailbox.push bx) frames
+            | Some bx ->
+              List.iter (Mailbox.push bx) frames;
+              (* Endpoints are drained on the primary loop (see [Cluster]):
+                 frames read on a shard loop must wake it. *)
+              if frames <> [] && loop != reactor then Reactor.wake reactor
             | None -> ())
           ~on_close:(fun () ->
             Mutex.lock state_mutex;
@@ -909,7 +863,6 @@ module Tcp_reactor = struct
         Hashtbl.reset accepted;
         Hashtbl.reset out;
         Mutex.unlock state_mutex;
-        Reactor.cancel reactor tick_timer;
         Hashtbl.iter
           (fun pid sock ->
             Reactor.remove (reactor_for pid) sock;
@@ -943,5 +896,5 @@ module Tcp_codec = struct
         let read_frame ic = Dex_codec.Codec.Frame.from_channel ic frame_codec in
         Tcp_generic.create ~write_frame ~read_frame ?metrics ?remotes ?on_bind ~pids ()
     in
-    match faults with None -> t | Some plan -> with_faults plan t
+    match faults with None -> t | Some plan -> with_faults ?reactor plan t
 end

@@ -76,15 +76,19 @@ val offset : base:Pid.t -> count:int -> 'msg t -> 'msg t
     (shards) share one listener/reactor set while each runs over a private
     zero-based pid space. *)
 
-val with_faults : Fault_plan.t -> 'msg t -> 'msg t
+val with_faults : ?reactor:Reactor.t -> Fault_plan.t -> 'msg t -> 'msg t
 (** Front a transport with deterministic fault injection: every [send]
     consults the plan ({!Fault_plan.decide}), which may drop it, duplicate
-    it, or defer copies — deferred copies are delivered by one joined
-    scheduler thread, torn down by [close] (pending copies are discarded).
-    [recv] and the link-stats surface pass through; injected events are
-    visible through the plan's own trace, counts and [chaos/*] metrics. The
-    [?faults] parameter on the constructors below is shorthand for wrapping
-    with this function. *)
+    it, or defer copies. A deferred copy is a one-shot timer on [reactor] —
+    a deployment passes its mesh loop, so chaos delays cost no thread —
+    and without [reactor] on a private loop started by the first deferral.
+    A copy is delivered no earlier than its plan delay, and none is
+    delivered once [close] has begun ([close] also stops the private loop;
+    a borrowed [reactor] is left running). [recv] and the link-stats
+    surface pass through; injected events are visible through the plan's
+    own trace, counts and [chaos/*] metrics. The [?faults] parameter on the
+    constructors below is shorthand for wrapping with this function (over
+    their own [?reactor], if any). *)
 
 module Mem : sig
   val create :
@@ -134,18 +138,19 @@ module Tcp_codec : sig
       With [reactor], the transport runs event-driven on that loop instead
       of thread-per-connection: nonblocking sockets, incremental frame
       reassembly ({!Dex_codec.Codec.Frame.Reader}), outbound queues that
-      coalesce multiple frames per [write] syscall, reconnect backoffs as
-      reactor timers, and one shared timer replacing the per-mailbox watcher
-      threads. Per-peer write-buffer high-water marks are mirrored to
-      [metrics] as [net/wbuf_hwm/peer<pid>]. The reactor is borrowed, not
-      owned: [close] deregisters everything but leaves the loop running for
-      its owner to stop.
+      coalesce multiple frames per [write] syscall, and reconnect backoffs
+      as reactor timers. Endpoints are meant to be drained from that loop
+      with [recv ~timeout:0.0] (an inline {!Cluster}); a [recv] that blocks
+      costs its endpoint a watcher thread. Per-peer write-buffer high-water
+      marks are mirrored to [metrics] as [net/wbuf_hwm/peer<pid>]. The
+      reactor is borrowed, not owned: [close] deregisters everything but
+      leaves the loop running for its owner to stop.
 
-      [reactor_for] (default: everything on [reactor]) shards the I/O of
+      [reactor_for] (default: everything on [reactor]) spreads the I/O of
       co-located endpoints over several loops: [reactor_for pid] owns pid's
       listener, its accepted connections and the outbound connections pid
-      originates, so one process hosting a whole mesh does not serialize
-      every endpoint's reads on a single thread. Timers (mailbox deadline
-      tick, reconnect backoff) stay on the primary [reactor]; the shard
-      loops are likewise borrowed, never stopped. *)
+      originates. Frames a shard loop reads are queued at the endpoint and
+      wake the primary [reactor], which drains them. Reconnect backoffs stay
+      on the primary [reactor]; the shard loops are likewise borrowed, never
+      stopped. *)
 end

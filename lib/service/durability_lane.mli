@@ -38,19 +38,11 @@ val create :
 
 val enabled : t -> bool
 
-val start_group_commit :
-  ?reactor:Dex_runtime.Reactor.t ->
-  t ->
-  delay:float ->
-  cap:int ->
-  on_durable:(int -> unit) ->
-  unit
-(** Start the WAL group-commit syncer; [on_durable] runs with each new
-    watermark (take the replica lock there, then call {!release_up_to}) —
-    on the syncer's own thread, or, with [reactor], on that shared loop
-    (the fsync cadence becomes a reactor timer instead of a
-    select-on-pipe thread; see {!Dex_store.Wal.syncer}). No-op when the
-    lane is inert. *)
+val start_group_commit : t -> delay:float -> cap:int -> on_durable:(int -> unit) -> unit
+(** Start the WAL group-commit syncer ({!Dex_store.Wal.syncer}: one
+    kick-driven thread, fsync off the appender's thread); [on_durable] runs
+    on that thread with each new watermark (take the replica lock there,
+    then call {!release_up_to}). No-op when the lane is inert. *)
 
 val append : t -> string -> int
 (** Append one commit record, returning the lsn that gates its replies

@@ -330,9 +330,9 @@ module Make (L : PL.LANE) = struct
     mutable service_port : int option;
     mutable client_socks : Unix.file_descr list;
     mutable threads : Thread.t list;
-    (* Event-driven service (io_mode = Reactor): the replica's own loop —
-       client I/O, batcher cadence and the WAL group-commit timer all run
-       on it. [None] in threaded mode. *)
+    (* Event-driven service (io_mode = Reactor): the loop the replica's
+       client I/O and batcher cadence run on — in a deployment, the mesh
+       loop. [None] in threaded mode. *)
     service_reactor : Reactor.t option;
     (* Whether this replica created [service_reactor] (and so must stop it)
        or borrowed a shared loop from the deployment (which stops it). *)
@@ -1068,12 +1068,10 @@ module Make (L : PL.LANE) = struct
       Durability_lane.create ?dir:(replica_dir cfg me) ~segment_bytes:cfg.wal_segment_bytes
         ~metrics ()
     in
-    (* In event-driven mode the replica runs on one reactor: client I/O, the
-       batcher cadence and the WAL group-commit timer all land on it. By
-       default it owns a private loop (whose [reactor/*] gauges land in this
-       replica's registry); a sharded deployment passes [service_reactor] to
-       share loops across co-located replicas — borrowed, never stopped by
-       this replica. *)
+    (* In event-driven mode the replica's client I/O and batch cadence run on
+       one reactor. A deployment passes its mesh loop as [service_reactor]
+       (borrowed, never stopped by this replica); a replica built alone owns
+       a private loop, whose [reactor/*] gauges land in its registry. *)
     let owns_reactor, service_reactor =
       match (cfg.io_mode, shared_loop) with
       | Transport.Threads, _ -> (false, None)
@@ -1163,8 +1161,8 @@ module Make (L : PL.LANE) = struct
     Registry.gauge_fn metrics "service/apply_lag" (fun () -> Hashtbl.length t.commit_buf);
     replay t recovered;
     if cfg.group_commit then
-      Durability_lane.start_group_commit ?reactor:service_reactor lane ~delay:cfg.sync_delay
-        ~cap:cfg.sync_cap ~on_durable:(on_durable t);
+      Durability_lane.start_group_commit lane ~delay:cfg.sync_delay ~cap:cfg.sync_cap
+        ~on_durable:(on_durable t);
     let want_catchup =
       match catchup with Some c -> c | None -> recovered.Durability_lane.had_state
     in

@@ -61,8 +61,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     seed : int;
     pair : int -> Pair.t;
     io_mode : Transport.io_mode;
-        (** how the service and durability cadences are driven: dedicated
-            threads, or one reactor per replica (the default) *)
+        (** how the service I/O and batch cadence are driven: dedicated
+            threads, or an event loop — in a deployment, the mesh loop
+            (the default) *)
     window : int;
     slots : int;
     batch_cap : int;  (** max requests per proposed batch *)
@@ -203,7 +204,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     mutable client_socks : Unix.file_descr list;
     mutable threads : Thread.t list;
     service_reactor : Dex_runtime.Reactor.t option;
-        (** the replica's event loop; [None] in threaded mode *)
+        (** the loop the replica's client I/O and batch timers run on;
+            [None] in threaded mode *)
     owns_reactor : bool;
         (** whether the replica created [service_reactor] (private loop, the
             server stops it) or borrowed a shared one (its owner stops it) *)
@@ -233,10 +235,11 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   (** Build the replica core: recovers durable state (when [data_dir] is
       set), starts the group-commit syncer, and arms the catch-up gate when
       [catchup] is true (default: whenever recovery found prior state).
-      [service_reactor] (reactor mode only) runs this replica on a shared,
-      borrowed loop instead of a private one — sharded deployments use it to
-      keep the loop count bounded by replica index, not shard count. The
-      returned handlers plug into {!Dex_runtime.Cluster}. *)
+      [service_reactor] (reactor mode only) runs this replica's client I/O
+      and batch timers on a borrowed loop instead of a private one — a
+      deployment passes its mesh loop, so every replica shares the one loop
+      its consensus handlers run on. The returned handlers plug into
+      {!Dex_runtime.Cluster}. *)
 
   val handle_request : t -> sink:sink -> Wire.request -> unit
   (** A client request arrived on [sink]: session-cache retry, Busy while

@@ -309,13 +309,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     net_metrics : Registry.t;
         (* deployment-wide registry holding the transport's [net/*] counters *)
     net_reactor : Reactor.t option;
-        (* event-driven mesh: the primary loop, shared by the transport's
-           timers and the cluster's protocol timers; [None] when the
+        (* event-driven mesh: the deployment's one loop; [None] when the
            deployment runs thread-per-connection *)
-    mesh_shards : Reactor.t array;
-        (* extra mesh loops: per-endpoint I/O is sharded across
-           [net_reactor :: shards] so co-located replicas' reads do not
-           serialize on one thread (empty in threaded mode) *)
     mutable servers : (Pid.t * t) list;
     ports : (Pid.t * int) list;
     mutable dead : (Pid.t * t) list;
@@ -345,7 +340,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         (Log.extra lcfg)
     in
     let pids = Pid.all ~n:cfg.n @ List.map fst extra in
-    let owns_runtime, net_metrics, net_reactor, mesh_shards, transport, service_loop_for =
+    let owns_runtime, net_metrics, net_reactor, transport, service_loop_for =
       match runtime with
       | Some rt ->
         (* Borrowed mesh: wrap only this deployment's pid-namespaced view
@@ -353,10 +348,10 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
            links of the groups sharing the mesh (blast-radius isolation). *)
         let transport =
           match chaos with
-          | Some plan -> Transport.with_faults plan rt.sr_transport
+          | Some plan -> Transport.with_faults ?reactor:rt.sr_net_reactor plan rt.sr_transport
           | None -> rt.sr_transport
         in
-        (false, rt.sr_net_metrics, rt.sr_net_reactor, [||], transport, rt.sr_service_loop_for)
+        (false, rt.sr_net_metrics, rt.sr_net_reactor, transport, rt.sr_service_loop_for)
       | None ->
         let net_metrics = Registry.create () in
         let net_reactor =
@@ -364,31 +359,22 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           | Transport.Threads -> None
           | Transport.Reactor -> Some (Reactor.create ~metrics:net_metrics ~name:"mesh" ())
         in
-        (* Shard the mesh I/O over up to four loops — but only when the
-           machine can actually run them in parallel: on few cores extra
-           loops are pure context-switch overhead. The gauges live on the
-           primary loop only (shards would collide on the metric names). *)
-        let mesh_shards =
-          match net_reactor with
-          | None -> [||]
-          | Some _ ->
-            let cores = Domain.recommended_domain_count () in
-            Array.init
-              (min 3 (max 0 (min (cfg.n - 1) (cores - 1))))
-              (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
-        in
-        let reactor_for =
-          match net_reactor with
-          | Some primary when Array.length mesh_shards > 0 ->
-            let pool = Array.append [| primary |] mesh_shards in
-            Some (fun pid -> pool.(pid mod Array.length pool))
-          | _ -> None
-        in
+        (* One mesh loop carries every endpoint's I/O. Extra I/O loops
+           would not run OCaml code in parallel under one domain; they only
+           add hand-offs between threads. *)
         let transport =
           Transport.Tcp_codec.create ~codec:smsg_codec ~metrics:net_metrics ?faults:chaos
-            ?reactor:net_reactor ?reactor_for ~pids ()
+            ?reactor:net_reactor ~pids ()
         in
-        (true, net_metrics, net_reactor, mesh_shards, transport, None)
+        (true, net_metrics, net_reactor, transport, None)
+    in
+    (* One loop per deployment: unless the lender assigns service loops,
+       every replica's client I/O and batch timers join the mesh loop its
+       consensus handlers already run on. *)
+    let service_loop_for =
+      match service_loop_for with
+      | Some f -> Some f
+      | None -> Option.map (fun r _ -> r) net_reactor
     in
     let svc_loop p = Option.map (fun f -> f p) service_loop_for in
     let servers = ref [] in
@@ -423,8 +409,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
           (p, start_service ~port:(if port_base = 0 then 0 else port_base + i) s))
         servers
     in
-    { dcfg = cfg; cluster; transport; net_metrics; net_reactor; mesh_shards; servers; ports;
-      dead = []; chaos; churn_cells = List.rev !churn_cells; owns_runtime; service_loop_for }
+    { dcfg = cfg; cluster; transport; net_metrics; net_reactor; servers; ports; dead = []; chaos;
+      churn_cells = List.rev !churn_cells; owns_runtime; service_loop_for }
 
   let set_churn_mode d pid mode =
     match List.assoc_opt pid d.churn_cells with
@@ -490,17 +476,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
         events
 
   let shutdown d =
-    List.iter (fun (_, s) -> stop s) d.servers;
-    (* With a borrowed runtime this closes only the pid-namespaced view
+    (* Consensus first, so no handler appends to a WAL [stop] has closed.
+       With a borrowed runtime this closes only the pid-namespaced view
        (a no-op) — the real mesh stays up for the other groups sharing it,
        and the lender closes it after the last of them shuts down. *)
     Cluster.shutdown d.cluster;
-    if d.owns_runtime then begin
-      (* The mesh loops are borrowed by transport and cluster alike; the
-         deployment owns them. *)
-      Option.iter Reactor.stop d.net_reactor;
-      Array.iter Reactor.stop d.mesh_shards
-    end
+    List.iter (fun (_, s) -> stop s) d.servers;
+    (* The mesh loop is borrowed by transport, cluster and replicas alike;
+       the deployment owns it. *)
+    if d.owns_runtime then Option.iter Reactor.stop d.net_reactor
 
   (* Agreement check across the correct replicas of a deployment — killed
      replicas' pre-crash (and recovered) commit logs included: a slot a

@@ -5,9 +5,11 @@
     apply loop, the persist-before-reply durability lane
     ({!Durability_lane}) and the Byzantine-tolerant catch-up lane
     ({!Catch_up}) — with the socket layer this module owns: the
-    client-facing TCP listener, per-connection reader threads, and the
-    batcher thread driving slot release, snapshot installs and the stall
-    watchdog.
+    client-facing TCP listener and the batcher cadence driving slot
+    release, snapshot installs and the stall watchdog. In reactor mode all
+    of it runs on the deployment's mesh loop, next to the consensus
+    handlers; in threads mode on per-connection reader threads and a
+    batcher thread per replica.
 
     The full pipeline contract (one-step batching, fetch lane, [t+1]
     catch-up votes, snapshot transfer, external-validity caveat) is
@@ -41,9 +43,9 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
       ephemeral port — the return value is the bound port) and start the
       service machinery: acceptor and batcher threads with
       [io_mode = Threads], or — with [io_mode = Reactor] — a nonblocking
-      listener, per-connection event-driven framing and the batcher cadence
-      as timers on the replica's own reactor (which also hosts the WAL
-      group-commit timer and the event-driven settle cut).
+      listener, per-connection event-driven framing, the batcher cadence
+      and the event-driven settle cut as timers on the replica's
+      [service_reactor] (in a deployment, the mesh loop).
       @raise Invalid_argument if already running. *)
 
   val service_port : t -> int option
@@ -80,12 +82,15 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
     sr_net_metrics : Dex_metrics.Registry.t;
         (** the registry the shared mesh reports its [net/*] counters into *)
     sr_net_reactor : Reactor.t option;
-        (** the mesh's primary loop (reactor mode), hosting this
-            deployment's protocol timers too; borrowed, never stopped here *)
+        (** the mesh's loop (reactor mode). This deployment's consensus
+            handlers, protocol and fault-plan timers run on it, and so do
+            its replicas' client I/O and batch timers unless
+            [sr_service_loop_for] says otherwise; borrowed, never stopped
+            here *)
     sr_service_loop_for : (Pid.t -> Reactor.t) option;
-        (** reactor mode: the shared service loop each replica pid runs its
-            client I/O, batch cadence and WAL group commit on — so loop
-            count is bounded by replica index, not by group count *)
+        (** reactor mode: a loop per replica pid for its client I/O and
+            batch timers, instead of [sr_net_reactor] ([None]: the mesh
+            loop, as {!Dex_shard.Group_set} lends it) *)
   }
   (** A runtime lent to {!launch} instead of letting it build one: how
       several consensus groups (shards) share one mesh, one set of event
@@ -102,15 +107,12 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
             counters (totals and per-peer); per-replica [service/*] and
             [wal/*] families live in each replica's {!metrics} registry *)
     net_reactor : Reactor.t option;
-        (** with [io_mode = Reactor]: the primary mesh loop, shared by the
-            transport's timers and the cluster's protocol timers (its
-            [reactor/*] gauges land in [net_metrics]); each replica's client
-            I/O runs on its own loop in its own registry *)
-    mesh_shards : Reactor.t array;
-        (** extra mesh loops the per-endpoint I/O is sharded across (see
-            {!Transport.Tcp_codec.create}'s [reactor_for]) — co-located
-            replicas' reads must not serialize on one thread; empty in
-            threaded mode *)
+        (** with [io_mode = Reactor]: the deployment's one event loop. It
+            carries the mesh sockets, the consensus handlers (an inline
+            {!Cluster}), protocol and fault-plan timers, and every replica's
+            client I/O and batch timers; its [reactor/*] gauges land in
+            [net_metrics]. WAL fsyncs run off it, on one syncer thread per
+            WAL ({!Dex_store.Wal.syncer}). *)
     mutable servers : (Pid.t * t) list;  (** live correct replicas *)
     ports : (Pid.t * int) list;  (** their client-facing service ports *)
     mutable dead : (Pid.t * t) list;  (** replicas taken down by {!kill_replica} *)

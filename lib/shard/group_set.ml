@@ -14,8 +14,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
     transport : S.smsg Transport.t;  (* the real shared mesh (owned) *)
     net_metrics : Registry.t;
     net_reactor : Reactor.t option;
-    mesh_shards : Reactor.t array;
-    service_loops : Reactor.t array;
     mutable closed : bool;
   }
 
@@ -47,49 +45,19 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       | Transport.Threads -> None
       | Transport.Reactor -> Some (Reactor.create ~metrics:net_metrics ~name:"mesh" ())
     in
-    (* Mesh I/O loops are core-gated exactly as in a single-group launch:
-       on few cores extra loops are pure context-switch overhead, and the
-       whole point of sharing the runtime is that the loop count does not
-       grow with the shard count. *)
-    let mesh_shards =
-      match net_reactor with
-      | None -> [||]
-      | Some _ ->
-        let cores = Domain.recommended_domain_count () in
-        Array.init
-          (min 3 (max 0 (min ((k * cfg.S.n) - 1) (cores - 1))))
-          (fun i -> Reactor.create ~name:(Printf.sprintf "mesh-%d" (i + 1)) ())
-    in
-    let reactor_for =
-      match net_reactor with
-      | Some primary when Array.length mesh_shards > 0 ->
-        let pool = Array.append [| primary |] mesh_shards in
-        Some (fun pid -> pool.(pid mod Array.length pool))
-      | _ -> None
-    in
     let transport =
       Transport.Tcp_codec.create ~codec:S.smsg_codec ~metrics:net_metrics ?reactor:net_reactor
-        ?reactor_for
         ~pids:(List.init (k * stride) Fun.id)
         ()
     in
-    (* Service loops are shared by replica index: shard [i]'s replica [j]
-       runs its client I/O, batch cadence and WAL group commit on loop [j],
-       whatever [i] — [n] loops total instead of [k * n]. *)
-    let service_loops =
-      match cfg.S.io_mode with
-      | Transport.Threads -> [||]
-      | Transport.Reactor ->
-        Array.init cfg.S.n (fun j -> Reactor.create ~name:(Printf.sprintf "svc-%d" j) ())
-    in
+    (* Every shard's replicas run their client I/O and batch timers on the
+       mesh loop, like their consensus handlers. *)
     let runtime i =
       {
         S.sr_transport = Transport.offset ~base:(i * stride) ~count:stride transport;
         sr_net_metrics = net_metrics;
         sr_net_reactor = net_reactor;
-        sr_service_loop_for =
-          (if Array.length service_loops = 0 then None
-           else Some (fun pid -> service_loops.(pid)));
+        sr_service_loop_for = None;
       }
     in
     let deployments =
@@ -111,8 +79,6 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
       transport;
       net_metrics;
       net_reactor;
-      mesh_shards;
-      service_loops;
       closed = false;
     }
 
@@ -127,9 +93,7 @@ module Make (L : Dex_core.Protocol_lane.LANE) = struct
          was borrowing. *)
       Array.iter S.shutdown t.deployments;
       t.transport.Transport.close ();
-      Option.iter Reactor.stop t.net_reactor;
-      Array.iter Reactor.stop t.mesh_shards;
-      Array.iter Reactor.stop t.service_loops
+      Option.iter Reactor.stop t.net_reactor
     end
 
   (* ------------------------------- chaos -------------------------------- *)

@@ -4,16 +4,16 @@
     Each shard is a full {!Dex_service.Server} deployment — [n] replicas,
     its own WAL/snapshot root ([<data_dir>/shard-<i>]), its own per-replica
     metrics registries, its own agreement invariant — but instead of [k]
-    meshes and [k * n] event loops, every group is a {e tenant} of one
-    shared runtime ({!Dex_service.Server.Make.shared_runtime}):
+    meshes and [k] event loops, every group is a {e tenant} of one shared
+    runtime ({!Dex_service.Server.Make.shared_runtime}):
 
     - one TCP mesh over the union pid space, each shard seeing its slice
       through a zero-based {!Dex_runtime.Transport.offset} view at stride
       [n + #UC-auxiliaries];
-    - one primary mesh loop (plus core-gated extra loops) for all groups;
-    - [n] shared service loops, keyed by {e replica index}: shard [i]'s
-      replica [j] runs on loop [j] whatever [i], so the loop count is set
-      by the group shape, not the shard count.
+    - one event loop (reactor mode) for all groups: the mesh sockets,
+      every group's consensus handlers and timers, and every replica's
+      client I/O and batch timers. WAL fsyncs run on one syncer thread
+      per replica WAL.
 
     Groups never exchange consensus messages — the offset views make cross
     -shard pids unreachable — so safety composes: each shard's agreement
@@ -56,8 +56,8 @@ module Make (L : Dex_core.Protocol_lane.LANE) : sig
   val deployment : t -> int -> S.deployment
 
   val shutdown : t -> unit
-  (** Tenants down first (replicas, cluster threads), then the shared mesh,
-      then the borrowed loops. Idempotent. *)
+  (** Tenants down first (clusters, replicas), then the shared mesh, then
+      the loop. Idempotent. *)
 
   (** {2 Chaos} *)
 

@@ -303,7 +303,8 @@ let rotate_locked (t : t) =
   t.seg_size <- magic_len;
   t.segments <- t.segments @ [ (t.next_lsn, path) ]
 
-let append (t : t) payload =
+(* Append, returning the lsn and how many records are now unsynced. *)
+let append_counted (t : t) payload =
   Mutex.lock t.lock;
   if t.closed then begin
     Mutex.unlock t.lock;
@@ -317,21 +318,38 @@ let append (t : t) payload =
     t.seg_size <- t.seg_size + 12 + String.length payload;
     Registry.incr t.c_appends;
     Registry.add t.c_bytes (String.length payload);
+    let pending = lsn - t.durable in
     Mutex.unlock t.lock;
-    lsn
+    (lsn, pending)
   end
+
+let append t payload = fst (append_counted t payload)
 
 let flush (t : t) =
   Mutex.lock t.lock;
   if not t.closed then Stdlib.flush t.oc;
   Mutex.unlock t.lock
 
+(* The lock covers the flush, not the fsync: appends go on while the disk
+   works. Everything flushed before the fsync is covered by it. A rotation
+   meanwhile fsynced and sealed the old segment itself, so the fsync may
+   then land on whatever reused the descriptor number, or fail on it,
+   harmlessly. *)
 let sync (t : t) =
   Mutex.lock t.lock;
   if (not t.closed) && t.durable < t.next_lsn - 1 then begin
     Stdlib.flush t.oc;
-    Unix.fsync t.fd;
-    record_sync_locked t
+    let target = t.next_lsn - 1 and fd = t.fd in
+    Mutex.unlock t.lock;
+    (try Unix.fsync fd with Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ());
+    Mutex.lock t.lock;
+    if (not t.closed) && target > t.durable then begin
+      let group = target - t.durable in
+      Registry.incr t.c_fsyncs;
+      Registry.add t.c_synced_records group;
+      Registry.set_max t.g_max_group group;
+      t.durable <- target
+    end
   end;
   let d = t.durable in
   Mutex.unlock t.lock;
@@ -413,131 +431,119 @@ let stats (t : t) =
 
 (* ----------------------------- group commit ----------------------------- *)
 
-(* Two drivers for the fsync cadence. The classic one sleeps in [select] on
-   a self-pipe: the latency cap is the select timeout, the size cap is an
-   appender writing a byte to the pipe. The reactor driver replaces that
-   thread with a periodic timer on a shared event loop (the size cap posts
-   an immediate sync), so a process with many replicas runs one loop thread
-   instead of one syncer thread each. Either way [sync] and the durability
-   callback run off the appender's thread. *)
-type driver =
-  | Pipe of {
-      pipe_r : Unix.file_descr;
-      pipe_w : Unix.file_descr;
-      mutable thread : Thread.t option;
-    }
-  | On_reactor of { r : Dex_runtime.Reactor.t; mutable timer : Dex_runtime.Reactor.timer option }
-
+(* One syncer thread per WAL, kicked through a self-pipe. While the log is
+   clean it blocks in [select] with no timeout. The append that dirties the
+   log kicks it, and it then waits out the [delay] window, so the group
+   gathers, and syncs; an urgent kick ([kick_syncer], or the size cap) ends
+   the window early. Appends never wait for the fsync: {!sync} holds the
+   log lock only to flush, then fsyncs outside it. So a group commit on
+   this thread never stalls the event loop that appends. *)
 type syncer = {
   s_wal : t;
   delay : float;
   cap : int;
   on_durable : int -> unit;
+  pipe_r : Unix.file_descr;
+  pipe_w : Unix.file_descr;
   mutable running : bool;
-  driver : driver;
+  mutable urgent : bool;  (** sync now, without waiting out the window *)
+  mutable thread : Thread.t option;
 }
+
+let kick_byte = Bytes.make 1 'k'
+
+let kick s =
+  try ignore (Unix.write s.pipe_w kick_byte 0 1) with Unix.Unix_error _ -> ()
 
 let sync_pending s = if s.running && unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
 
-let kick s =
-  match s.driver with
-  | Pipe p -> (
-    try ignore (Unix.write p.pipe_w (Bytes.make 1 'k') 0 1) with Unix.Unix_error _ -> ())
-  | On_reactor { r; _ } -> Dex_runtime.Reactor.post r (fun () -> sync_pending s)
-
-let syncer_loop s (p_r : Unix.file_descr) () =
+let syncer_loop s () =
   let buf = Bytes.create 64 in
   while s.running do
-    (match Unix.select [ p_r ] [] [] s.delay with
-    | [], _, _ -> ()
-    | _ -> ( try ignore (Unix.read p_r buf 0 64) with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ());
-    sync_pending s
+    let timeout = if unsynced s.s_wal = 0 then -1.0 else s.delay in
+    let woken =
+      match Unix.select [ s.pipe_r ] [] [] timeout with
+      | [], _, _ -> false
+      | _ ->
+        (try ignore (Unix.read s.pipe_r buf 0 (Bytes.length buf)) with Unix.Unix_error _ -> ());
+        true
+      | exception Unix.Unix_error _ -> false
+    in
+    (* A wake-up that is not urgent is the dirtying append's kick: loop
+       back to wait out the window. *)
+    if s.urgent || not woken then begin
+      s.urgent <- false;
+      sync_pending s
+    end
   done
 
-let syncer ?(delay = 0.001) ?(cap = 64) ?reactor wal ~on_durable =
+let syncer ?(delay = 0.001) ?(cap = 64) wal ~on_durable =
   if delay <= 0.0 then invalid_arg "Wal.syncer: delay must be > 0";
   if cap < 1 then invalid_arg "Wal.syncer: cap must be >= 1";
-  match reactor with
-  | Some r ->
-    let s =
-      {
-        s_wal = wal;
-        delay;
-        cap;
-        on_durable;
-        running = true;
-        driver = On_reactor { r; timer = None };
-      }
-    in
-    (match s.driver with
-    | On_reactor d -> d.timer <- Some (Dex_runtime.Reactor.every r delay (fun () -> sync_pending s))
-    | Pipe _ -> assert false);
-    s
-  | None ->
-    let pipe_r, pipe_w = Unix.pipe () in
-    (* [select] cannot watch descriptors past FD_SETSIZE: refuse now with a
-       clear error instead of failing with EINVAL on the first sleep. *)
-    (try
-       let check fd who =
-         let n = fd_int fd in
-         if n < 0 || n >= Dex_runtime.Reactor.max_fds then
-           invalid_arg
-             (Printf.sprintf "%s: fd %d exceeds the select FD_SETSIZE limit (%d)" who n
-                Dex_runtime.Reactor.max_fds)
-       in
-       check pipe_r "Wal.syncer (self-pipe)";
-       check pipe_w "Wal.syncer (self-pipe)"
-     with e ->
-       (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-       (try Unix.close pipe_w with Unix.Unix_error _ -> ());
-       raise e);
-    Unix.set_nonblock pipe_r;
-    Unix.set_nonblock pipe_w;
-    let s =
-      {
-        s_wal = wal;
-        delay;
-        cap;
-        on_durable;
-        running = true;
-        driver = Pipe { pipe_r; pipe_w; thread = None };
-      }
-    in
-    (match s.driver with
-    | Pipe p -> p.thread <- Some (Thread.create (syncer_loop s pipe_r) ())
-    | On_reactor _ -> assert false);
-    s
+  let pipe_r, pipe_w = Unix.pipe () in
+  (* [select] cannot watch descriptors past FD_SETSIZE: refuse now with a
+     clear error instead of failing with EINVAL on the first sleep. *)
+  (try
+     let check fd who =
+       let n = fd_int fd in
+       if n < 0 || n >= Dex_runtime.Reactor.max_fds then
+         invalid_arg
+           (Printf.sprintf "%s: fd %d exceeds the select FD_SETSIZE limit (%d)" who n
+              Dex_runtime.Reactor.max_fds)
+     in
+     check pipe_r "Wal.syncer (self-pipe)";
+     check pipe_w "Wal.syncer (self-pipe)"
+   with e ->
+     (try Unix.close pipe_r with Unix.Unix_error _ -> ());
+     (try Unix.close pipe_w with Unix.Unix_error _ -> ());
+     raise e);
+  Unix.set_nonblock pipe_r;
+  Unix.set_nonblock pipe_w;
+  let s =
+    {
+      s_wal = wal;
+      delay;
+      cap;
+      on_durable;
+      pipe_r;
+      pipe_w;
+      running = true;
+      urgent = false;
+      thread = None;
+    }
+  in
+  s.thread <- Some (Thread.create (syncer_loop s) ());
+  s
 
 let syncer_append s payload =
-  let lsn = append s.s_wal payload in
-  if unsynced s.s_wal >= s.cap then kick s;
+  let lsn, pending = append_counted s.s_wal payload in
+  if pending >= s.cap then begin
+    s.urgent <- true;
+    kick s
+  end
+  else if pending = 1 then kick s;
   lsn
 
-let kick_syncer s = if s.running then kick s
+let kick_syncer s =
+  if s.running then begin
+    s.urgent <- true;
+    kick s
+  end
 
-let halt_driver s =
-  match s.driver with
-  | Pipe p ->
-    (try ignore (Unix.write p.pipe_w (Bytes.make 1 'k') 0 1) with Unix.Unix_error _ -> ());
-    Option.iter Thread.join p.thread;
-    p.thread <- None;
-    (try Unix.close p.pipe_r with Unix.Unix_error _ -> ());
-    (try Unix.close p.pipe_w with Unix.Unix_error _ -> ())
-  | On_reactor d ->
-    Option.iter (Dex_runtime.Reactor.cancel d.r) d.timer;
-    d.timer <- None
+let halt s =
+  s.running <- false;
+  kick s;
+  Option.iter Thread.join s.thread;
+  s.thread <- None;
+  (try Unix.close s.pipe_r with Unix.Unix_error _ -> ());
+  try Unix.close s.pipe_w with Unix.Unix_error _ -> ()
 
 let stop_syncer s =
   if s.running then begin
-    s.running <- false;
-    halt_driver s;
+    halt s;
     if unsynced s.s_wal > 0 then s.on_durable (sync s.s_wal)
   end
 
 let abandon_syncer s =
   (* Crash simulation: stop the driver without the final sync. *)
-  if s.running then begin
-    s.running <- false;
-    halt_driver s
-  end
+  if s.running then halt s

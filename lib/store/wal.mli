@@ -14,12 +14,12 @@
     "everything up to lsn [d] is durable" is a single watermark
     ({!durable_lsn}).
 
-    {b Group commit:} a {!syncer} batches fsyncs under a latency cap (sync
-    at least every [delay] seconds while records are pending) and a size cap
-    (an append that finds [cap] records unsynced kicks the syncer
-    immediately) — the fsync analogue of the service batcher. One fsync
-    covers the whole group; the callback reports the new watermark so the
-    caller can release acknowledgements.
+    {b Group commit:} a {!syncer} batches fsyncs under a latency cap (a
+    record waits at most [delay] seconds plus one fsync) and a size cap (an
+    append that finds [cap] records unsynced kicks the syncer immediately)
+    — the fsync analogue of the service batcher. One fsync covers the whole
+    group; the callback reports the new watermark so the caller can release
+    acknowledgements.
 
     {b Crash tolerance:} {!open_} scans the segment chain and recovers the
     longest valid prefix: a torn or truncated tail record (a crash mid-write)
@@ -80,7 +80,9 @@ val flush : t -> unit
 
 val sync : t -> int
 (** Flush and fsync everything appended; returns the new durable watermark.
-    A no-op (returning the current watermark) when nothing is pending. *)
+    A no-op (returning the current watermark) when nothing is pending. The
+    log lock is held for the flush only: appends made during the fsync go
+    on, and a later sync covers them. *)
 
 val last_lsn : t -> int
 (** Highest lsn appended (0 when the log is empty). *)
@@ -110,26 +112,21 @@ val stats : t -> stats
 
 type syncer
 
-val syncer :
-  ?delay:float ->
-  ?cap:int ->
-  ?reactor:Dex_runtime.Reactor.t ->
-  t ->
-  on_durable:(int -> unit) ->
-  syncer
-(** Start the background fsync batcher: while records are pending, {!sync}
-    runs at least every [delay] seconds (default 1 ms); an {!syncer_append}
-    that finds [cap] (default 64) records unsynced wakes it immediately.
-    [on_durable] is called with each new watermark — release
-    acknowledgements there.
+val syncer : ?delay:float -> ?cap:int -> t -> on_durable:(int -> unit) -> syncer
+(** Start the group-commit syncer: one thread per WAL, driven by kicks. It
+    sleeps while the log is clean. The {!syncer_append} that dirties the
+    log kicks it; it then waits out the latency window of [delay] seconds
+    (default 1 ms), so the group gathers, and runs {!sync}. A
+    {!kick_syncer}, or a {!syncer_append} that finds [cap] (default 64)
+    records unsynced, ends the window early. [on_durable] is called on the
+    syncer thread with each new watermark — release acknowledgements
+    there.
 
-    Without [reactor] the cadence runs on a dedicated thread sleeping in
-    [select] on a self-pipe (whose descriptors are checked against
-    FD_SETSIZE up front — a clear [Invalid_argument] instead of [EINVAL]
-    at high descriptor counts). With [reactor] it runs as a periodic timer
-    on that shared loop — fsync and [on_durable] execute on the reactor
-    thread — and the size cap posts an immediate sync instead of writing to
-    a pipe. *)
+    The fsync runs outside the log lock, so appends never wait for the
+    disk: an event loop that appends is never stalled by a group commit.
+    The thread sleeps in [select] on a self-pipe whose descriptors are
+    checked against FD_SETSIZE up front (a clear [Invalid_argument]
+    instead of [EINVAL] at high descriptor counts). *)
 
 val syncer_append : syncer -> string -> int
 (** {!append} through the group-commit path (kicks the syncer at the size
@@ -143,12 +140,12 @@ val kick_syncer : syncer -> unit
     the remainder of the [delay] window. No-op when nothing is pending. *)
 
 val stop_syncer : syncer -> unit
-(** Final sync (with its [on_durable]), then stop the driver (joining the
-    thread, or cancelling the reactor timer). Idempotent. *)
+(** Join the syncer thread, then a final sync (with its [on_durable]) on
+    the caller's thread. Idempotent. *)
 
 val abandon_syncer : syncer -> unit
-(** Crash simulation: stop the driver {e without} the final sync (pair with
-    {!abandon}). Idempotent. *)
+(** Crash simulation: join the syncer thread {e without} the final sync
+    (pair with {!abandon}). Idempotent. *)
 
 (** {2 Shared helpers} *)
 

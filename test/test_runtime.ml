@@ -543,6 +543,138 @@ let test_cluster_double_start_rejected () =
     (fun () -> Cluster.start cluster);
   Cluster.shutdown cluster
 
+(* ----------------------- one loop per deployment ----------------------- *)
+
+(* An inline cluster over a reactor transport: node 0 floods node 1 with
+   sequence numbers (a self-send keeps it going every turn) while node 1
+   is killed and restarted. Once [stop_node] returns, the killed
+   incarnation's handler never runs again; what arrives while node 1 is
+   down is dropped, not handed to the next incarnation; and the restarted
+   instance's [start] runs exactly once. *)
+let test_inline_cluster_stop_restart () =
+  let r = Reactor.create ~name:"inline" () in
+  let transport =
+    Transport.Tcp_codec.create ~codec:Dex_codec.Codec.int ~reactor:r ~pids:[ 0; 1 ] ()
+  in
+  let flood = Atomic.make true in
+  let sent = Atomic.make 0 in
+  let flooder =
+    let next () =
+      let k = Atomic.fetch_and_add sent 1 + 1 in
+      [ Protocol.Send (1, k); Protocol.Send (0, 0) ]
+    in
+    {
+      Protocol.start = next;
+      on_message =
+        (fun ~now:_ ~from m ->
+          if from = 1 && m < 0 then begin
+            Atomic.set flood true;
+            next ()
+          end
+          else if from = 0 && Atomic.get flood then next ()
+          else []);
+    }
+  in
+  let stopped = Atomic.make false in
+  let late = Atomic.make 0 in
+  let first_seen = Atomic.make 0 in
+  let handled = Atomic.make 0 in
+  let starts = Atomic.make 0 in
+  let first_incarnation =
+    {
+      Protocol.start = (fun () -> []);
+      on_message =
+        (fun ~now:_ ~from:_ _ ->
+          if Atomic.get stopped then Atomic.incr late;
+          Atomic.incr handled;
+          []);
+    }
+  in
+  let second_incarnation =
+    {
+      Protocol.start =
+        (fun () ->
+          Atomic.incr starts;
+          (* Ask the flooder to resume. *)
+          [ Protocol.Send (0, -1) ]);
+      on_message =
+        (fun ~now:_ ~from:_ k ->
+          ignore (Atomic.compare_and_set first_seen 0 k);
+          []);
+    }
+  in
+  let cluster =
+    Cluster.create ~transport ~n:2 ~reactor:r (function 0 -> flooder | _ -> first_incarnation)
+  in
+  Cluster.start cluster;
+  Alcotest.(check bool) "traffic flows" true (await (fun () -> Atomic.get handled > 50));
+  Cluster.stop_node cluster 1;
+  Atomic.set stopped true;
+  (* Down: the flood goes on, then pauses; everything sent is dropped. *)
+  let before = Atomic.get sent in
+  Alcotest.(check bool) "flood continues while down" true
+    (await (fun () -> Atomic.get sent > before + 50));
+  Atomic.set flood false;
+  Thread.delay 0.1;
+  let sent_while_down = Atomic.get sent in
+  Cluster.start_node cluster 1 second_incarnation;
+  Alcotest.(check bool) "restarted node receives" true
+    (await (fun () -> Atomic.get first_seen > 0));
+  Cluster.shutdown cluster;
+  Reactor.stop r;
+  Alcotest.(check int) "no handler of the killed incarnation after stop" 0 (Atomic.get late);
+  Alcotest.(check bool)
+    (Printf.sprintf "first frame %d is newer than the %d sent while down" (Atomic.get first_seen)
+       sent_while_down)
+    true
+    (Atomic.get first_seen > sent_while_down);
+  Alcotest.(check int) "start ran once" 1 (Atomic.get starts)
+
+(* Fault-plan delays as loop timers: every copy reaches the inner transport
+   no earlier than its plan delay, and none after [close]. *)
+let test_with_faults_on_reactor () =
+  let r = Reactor.create ~name:"faults" () in
+  let mem = Transport.Mem.create ~pids:[ 0; 1 ] () in
+  let lock = Mutex.create () in
+  let delivered = ref [] in
+  let recording =
+    {
+      mem with
+      Transport.send =
+        (fun ~src ~dst m ->
+          Mutex.lock lock;
+          delivered := (Unix.gettimeofday (), m) :: !delivered;
+          Mutex.unlock lock;
+          mem.Transport.send ~src ~dst m);
+    }
+  in
+  let rule = { Fault_plan.clean_rule with delay = 0.03; jitter = 0.02 } in
+  let plan = Fault_plan.make { Fault_plan.empty_spec with seed = 7; rules = [ (Fault_plan.All, rule) ] } in
+  let tr = Transport.with_faults ~reactor:r plan recording in
+  let sent_at = Array.make 20 0.0 in
+  for i = 0 to 19 do
+    sent_at.(i) <- Unix.gettimeofday ();
+    tr.Transport.send ~src:0 ~dst:1 i
+  done;
+  Alcotest.(check bool) "all delivered" true
+    (await (fun () -> Mutex.protect lock (fun () -> List.length !delivered) = 20));
+  List.iter
+    (fun (at, i) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "copy %d waited %.4f s" i (at -. sent_at.(i)))
+        true
+        (at -. sent_at.(i) >= 0.03))
+    (Mutex.protect lock (fun () -> !delivered));
+  for i = 20 to 29 do
+    tr.Transport.send ~src:0 ~dst:1 i
+  done;
+  tr.Transport.close ();
+  let closed_at = Unix.gettimeofday () in
+  Thread.delay 0.1;
+  Alcotest.(check int) "nothing delivered after close" 0
+    (Mutex.protect lock (fun () -> List.length (List.filter (fun (at, _) -> at >= closed_at) !delivered)));
+  Reactor.stop r
+
 let () =
   Alcotest.run "dex_runtime"
     [
@@ -583,5 +715,7 @@ let () =
           Alcotest.test_case "wall times" `Quick test_cluster_decision_wall_times;
           Alcotest.test_case "leader UC on threads" `Quick test_cluster_leader_uc_on_threads;
           Alcotest.test_case "double start rejected" `Quick test_cluster_double_start_rejected;
+          Alcotest.test_case "inline stop and restart" `Quick test_inline_cluster_stop_restart;
+          Alcotest.test_case "fault delays on the loop" `Quick test_with_faults_on_reactor;
         ] );
     ]

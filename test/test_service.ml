@@ -511,6 +511,54 @@ let test_shutdown_joins_threads () =
     settle ()
   end
 
+let test_reactor_thread_budget () =
+  (* One loop per deployment: a reactor-mode launch (n=7 t=1, a WAL per
+     replica, a fault plan delaying every link) adds the mesh loop and one
+     WAL syncer per replica to the process — no node threads, no replica
+     loops, no fault-delay thread — while it serves load. *)
+  if not (Sys.file_exists "/proc/self/task") then ()
+  else begin
+    (* The runtime's tick thread starts with the first thread; start it
+       before taking the baseline. *)
+    Thread.join (Thread.create ignore ());
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "dex-thread-budget-%d" (Unix.getpid ()))
+    in
+    rm_rf dir;
+    Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+    let pair = Dex_condition.Pair.freq ~n:7 ~t:1 in
+    let cfg = S.config ~data_dir:dir ~pair:(fun _ -> pair) ~n:7 ~t:1 () in
+    let rule = { Dex_runtime.Fault_plan.clean_rule with delay = 0.001; jitter = 0.0005 } in
+    let chaos =
+      Dex_runtime.Fault_plan.make
+        { Dex_runtime.Fault_plan.empty_spec with seed = 3; rules = [ (Dex_runtime.Fault_plan.All, rule) ] }
+    in
+    let baseline = thread_count () in
+    let d = S.launch ~chaos cfg in
+    Fun.protect ~finally:(fun () -> S.shutdown d) @@ fun () ->
+    let c = Client.connect ~client:1 (List.map snd d.S.ports) in
+    let r = Client.Load.run_many ~clients:4 ~duration:0.6 c (fun i -> Sm.Add ("k", i)) in
+    Client.close c;
+    Alcotest.(check bool) "committed under chaos" true (r.Client.Load.committed > 0);
+    (* A joined thread can linger in /proc for a moment after [join]. *)
+    let budget = 1 + 7 in
+    let deadline = Unix.gettimeofday () +. 2.0 in
+    let rec settle () =
+      let added = thread_count () - baseline in
+      if added <= budget || Unix.gettimeofday () > deadline then added
+      else begin
+        Thread.delay 0.02;
+        settle ()
+      end
+    in
+    let added = settle () in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d threads added; budget is one loop plus 7 syncers" added)
+      true (added <= budget)
+  end
+
 let test_config_validation () =
   Alcotest.check_raises "bad batch_cap"
     (Invalid_argument "Server.config: batch_cap must be >= 1") (fun () ->
@@ -562,6 +610,7 @@ let () =
             test_coded_dissemination_deployment;
           Alcotest.test_case "threads io-mode parity" `Quick test_threads_io_mode_parity;
           Alcotest.test_case "shutdown joins threads" `Quick test_shutdown_joins_threads;
+          Alcotest.test_case "reactor thread budget" `Quick test_reactor_thread_budget;
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
     ]
